@@ -233,6 +233,7 @@ def main_report(argv: list[str] | None = None) -> int:
         write_bench_json,
     )
     from repro.experiments.journal import RunJournal, default_runs_dir
+    from repro.obs import trace as obs_trace
     from repro.util.atomic import atomic_write_text
 
     parser = argparse.ArgumentParser(
@@ -349,20 +350,26 @@ def main_report(argv: list[str] | None = None) -> int:
         parser.error("--resume and --no-journal are mutually exclusive")
     if args.trace and args.no_journal:
         parser.error("--trace needs a run directory; drop --no-journal")
+    if args.experiments:
+        from repro.experiments import all_experiments
+
+        known = all_experiments()
+        unknown = [eid for eid in args.experiments if eid not in known]
+        if unknown:
+            parser.error(
+                f"unknown experiment(s) {', '.join(unknown)}; "
+                f"known: {', '.join(known)}"
+            )
+        repeated = sorted(
+            {eid for eid in args.experiments if args.experiments.count(eid) > 1}
+        )
+        if repeated:
+            parser.error(f"experiment(s) listed twice: {', '.join(repeated)}")
     runs_root = Path(args.run_dir) if args.run_dir else default_runs_dir()
 
     recorder = None
     if args.trace:
-        try:
-            from repro.obs import trace as obs_trace
-        except ImportError:
-            print(
-                "warning: repro.obs unavailable; running without --trace",
-                file=sys.stderr,
-            )
-            args.trace = False
-        else:
-            recorder = obs_trace.install(obs_trace.TraceRecorder())
+        recorder = obs_trace.install(obs_trace.TraceRecorder())
 
     journal = None
     completed = None

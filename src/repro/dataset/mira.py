@@ -30,6 +30,8 @@ from repro.errors import (
     QuarantineOverflowError,
 )
 from repro.ingest import ParseReport
+from repro.obs.trace import add as trace_add
+from repro.obs.trace import span as trace_span
 from repro.ras import (
     RAS_SCHEMA,
     Incident,
@@ -57,30 +59,6 @@ from repro.tasks import (
 )
 
 from . import cache as _cache
-
-try:  # tracing is optional: without repro.obs the dataset runs untraced
-    from repro.obs.trace import add as trace_add
-    from repro.obs.trace import span as trace_span
-except ImportError:  # pragma: no cover - exercised by the obs-less drill
-
-    class _SpanOff:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            return False
-
-        def note(self, **attrs):
-            return None
-
-    _SPAN_OFF = _SpanOff()
-
-    def trace_span(name, **attrs):
-        return _SPAN_OFF
-
-    def trace_add(name, value=1):
-        return None
-
 
 __all__ = ["MiraDataset"]
 

@@ -59,36 +59,11 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from repro.errors import FaultError, ReproError
+from repro.obs import trace as _obs
 from repro.util.atomic import atomic_write_text
 from repro.util.deadline import DeadlineExceeded, deadline
 
 from .base import ExperimentResult
-
-try:  # tracing is optional: without repro.obs the suite runs untraced
-    from repro.obs import trace as _obs
-except ImportError:  # pragma: no cover - exercised by the obs-less drill
-    _obs = None
-
-
-class _SpanOff:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-    def note(self, **attrs):
-        return None
-
-
-_SPAN_OFF = _SpanOff()
-
-
-def _trace_span(name, **attrs):
-    if _obs is None:
-        return _SPAN_OFF
-    return _obs.span(name, **attrs)
-
 
 __all__ = [
     "ExperimentOutcome",
@@ -207,7 +182,7 @@ def _run_one(
     if dataset is None:
         dataset = _WORKER_DATASET
     recorder = None
-    if trace and _obs is not None:
+    if trace:
         if not in_process:
             # Always start fresh in a worker: under the fork start
             # method the child inherits the supervisor's recorder, and
@@ -218,7 +193,7 @@ def _run_one(
     started = time.perf_counter()
     try:
         with deadline(timeout):
-            with _trace_span("experiment", id=experiment_id, attempt=attempt):
+            with _obs.span("experiment", id=experiment_id, attempt=attempt):
                 # Deterministic chaos (kill/hang/slow) fires here, inside
                 # the timeout window, so drills exercise the same
                 # supervision paths real failures would.
@@ -470,8 +445,7 @@ def run_suite(
     be flushed as the suite progresses.  ``trace`` asks workers to
     record per-experiment spans; the supervisor merges shipped spans
     into its active :mod:`repro.obs` recorder as outcomes arrive (a
-    no-op when the obs package is unavailable or no recorder is
-    installed).
+    no-op when no recorder is installed).
 
     Raises
     ------
@@ -506,10 +480,9 @@ def run_suite(
         if outcome.experiment_id in done:
             return
         done[outcome.experiment_id] = outcome
-        if outcome.spans and _obs is not None:
-            recorder = _obs.active()
-            if recorder is not None:
-                recorder.absorb(outcome.spans)
+        recorder = _obs.active()
+        if outcome.spans and recorder is not None:
+            recorder.absorb(outcome.spans)
         if on_outcome is not None:
             on_outcome(outcome)
 

@@ -7,10 +7,10 @@ carries named spans and counters that cost a single attribute check
 when no recorder is installed, and stream into a per-run
 ``trace.jsonl`` when one is (``repro-report --trace``).
 
-The package is dependency-free and *optional*: every instrumented
-module imports it behind a ``try/except ImportError`` with inline
-no-op fallbacks, so deleting ``repro/obs/`` entirely leaves the
-toolkit's output byte-identical.
+The package is stdlib-only and every instrumented module imports it
+directly.  Tracing is off unless a recorder is installed, and a
+disabled span costs one global load plus an ``is None`` test, so the
+untraced pipeline pays nothing measurable for its instrumentation.
 
 - :mod:`repro.obs.trace` — the recorder, ``span()`` context managers,
   counters and gauges.

@@ -108,6 +108,15 @@ def main_trace(argv: list[str] | None = None) -> int:
     cmd_validate.add_argument("run", help="run id or path to a trace.jsonl")
 
     args = parser.parse_args(argv)
+    if args.command == "summarize" and args.top < 1:
+        cmd_summarize.error(f"--top must be >= 1, got {args.top}")
+    # ``not >=`` also rejects nan, which would never flag anything.
+    if args.command == "diff" and args.fail_above is not None:
+        if not args.fail_above >= 1:
+            cmd_diff.error(
+                f"--fail-above is a growth ratio and must be >= 1, "
+                f"got {args.fail_above:g}"
+            )
     runs_root = Path(args.run_dir) if args.run_dir else default_runs_dir()
 
     try:

@@ -16,12 +16,18 @@ recorder; the experiment engine ships them back inside the
 :class:`~repro.experiments.engine.ExperimentOutcome` and merges them
 with :meth:`TraceRecorder.absorb`, which re-bases span ids so parent
 links stay valid.
+
+A multithreaded caller (the ``repro-serve`` daemon) keeps its own
+recorder without installing it and times spans itself:
+:meth:`TraceRecorder.record_span` appends a finished, parentless span
+under the recorder's lock.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -105,35 +111,72 @@ class TraceRecorder:
     Spans are appended in start order; ``parent`` links express the
     nesting that was live when each span began.  Counters and gauges
     are plain name→number maps; counters accumulate, gauges overwrite.
+    One lock guards the span list and the metric maps, so threads may
+    record spans and counters at once; the nesting stack behind
+    :meth:`start_span` belongs to a single thread.
     """
 
     def __init__(self) -> None:
         self._epoch = time.perf_counter()
+        self._lock = threading.Lock()
         self._stack: list[int] = []
         self.spans: list[dict] = []
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
 
+    def _append(
+        self,
+        name: str,
+        parent: int | None,
+        depth: int,
+        attrs: dict,
+        start: float = 0.0,
+        seconds: float = 0.0,
+    ) -> dict:
+        with self._lock:
+            record = {
+                "kind": "span",
+                "id": len(self.spans),
+                "parent": parent,
+                "name": name,
+                "start": start,
+                "seconds": seconds,
+                "depth": depth,
+                "pid": os.getpid(),
+                "attrs": attrs,
+            }
+            self.spans.append(record)
+        return record
+
     def start_span(self, name: str, attrs: Mapping) -> _Span:
-        record = {
-            "kind": "span",
-            "id": len(self.spans),
-            "parent": self._stack[-1] if self._stack else None,
-            "name": name,
-            "start": 0.0,
-            "seconds": 0.0,
-            "depth": len(self._stack),
-            "pid": os.getpid(),
-            "attrs": dict(attrs),
-        }
-        self.spans.append(record)
+        parent = self._stack[-1] if self._stack else None
+        record = self._append(name, parent, len(self._stack), dict(attrs))
         return _Span(self, record)
 
+    def record_span(
+        self, name: str, start: float, seconds: float, **attrs
+    ) -> None:
+        """Append a finished, parentless span the caller timed itself.
+
+        ``start`` is a :func:`time.perf_counter` reading.  Safe to call
+        from any thread, unlike the nesting :meth:`start_span`.
+        """
+        self._append(
+            name,
+            None,
+            0,
+            attrs,
+            start=round(max(start - self._epoch, 0.0), 9),
+            seconds=round(max(seconds, 0.0), 9),
+        )
+
     def add(self, name: str, value: float = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + value
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + value
 
     def set_gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
+        with self._lock:
+            self.gauges[name] = value
 
     def absorb(self, spans, counters: Mapping | None = None) -> None:
         """Merge spans shipped from another process (the worker path).
@@ -144,14 +187,15 @@ class TraceRecorder:
         comparable, so grafting them under a supervisor span would
         fabricate a timing relationship).
         """
-        offset = len(self.spans)
-        for record in spans:
-            merged = dict(record)
-            merged["id"] = record["id"] + offset
-            if record.get("parent") is not None:
-                merged["parent"] = record["parent"] + offset
-            merged["attrs"] = dict(record.get("attrs", {}))
-            self.spans.append(merged)
+        with self._lock:
+            offset = len(self.spans)
+            for record in spans:
+                merged = dict(record)
+                merged["id"] = record["id"] + offset
+                if record.get("parent") is not None:
+                    merged["parent"] = record["parent"] + offset
+                merged["attrs"] = dict(record.get("attrs", {}))
+                self.spans.append(merged)
         for name, value in (counters or {}).items():
             self.add(name, value)
 
@@ -166,21 +210,25 @@ class TraceRecorder:
             "toolkit_version": __version__,
             "pid": os.getpid(),
         }
+        with self._lock:
+            spans = list(self.spans)
+            counters = dict(self.counters)
+            gauges = dict(self.gauges)
         out = [header]
-        out.extend(self.spans)
+        out.extend(spans)
         pid = os.getpid()
-        for name in sorted(self.counters):
+        for name in sorted(counters):
             out.append(
                 {
                     "kind": "counter",
                     "name": name,
-                    "value": self.counters[name],
+                    "value": counters[name],
                     "pid": pid,
                 }
             )
-        for name in sorted(self.gauges):
+        for name in sorted(gauges):
             out.append(
-                {"kind": "gauge", "name": name, "value": self.gauges[name], "pid": pid}
+                {"kind": "gauge", "name": name, "value": gauges[name], "pid": pid}
             )
         return out
 

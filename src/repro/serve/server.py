@@ -43,6 +43,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro import __version__
 from repro.errors import FaultError
 from repro.faults.plan import ProcessFaultPlan
+from repro.obs.trace import TraceRecorder
 from repro.util.deadline import Deadline
 
 from .admission import AdmissionQueue, Ticket
@@ -50,11 +51,6 @@ from .breaker import BreakerBoard
 from .protocol import ProtocolError, ServeRequest, ServeResponse
 from .resultcache import CACHEABLE_OUTCOMES, ResultCache, result_key
 from .workers import FORK_LOCK, SUPERVISOR_GRACE_S, WorkerSlot, WorkerVerdict
-
-try:  # tracing is optional: without repro.obs the server runs untraced
-    from repro.obs import trace as _obs
-except ImportError:  # pragma: no cover - exercised by the obs-less drill
-    _obs = None
 
 __all__ = ["ReproServer", "ServeConfig"]
 
@@ -94,51 +90,6 @@ class ServeConfig:
             raise ValueError(f"batch_max must be >= 1, got {self.batch_max}")
 
 
-class _ServeTrace:
-    """Thread-safe per-request span/counter sink for ``trace.jsonl``.
-
-    The obs :class:`TraceRecorder` is single-threaded by design (its
-    span stack assumes one thread), so the server records flat,
-    parentless spans itself — one per request, made under a lock —
-    and absorbs them into a recorder only at write time.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._epoch = time.monotonic()
-        self._spans: list[dict] = []
-        self._counters: dict[str, float] = {}
-        self._pid = os.getpid()
-
-    def record_span(self, name: str, start: float, seconds: float, **attrs):
-        with self._lock:
-            self._spans.append(
-                {
-                    "kind": "span",
-                    "id": len(self._spans),
-                    "parent": None,
-                    "name": name,
-                    "start": round(max(start - self._epoch, 0.0), 9),
-                    "seconds": round(max(seconds, 0.0), 9),
-                    "depth": 0,
-                    "pid": self._pid,
-                    "attrs": attrs,
-                }
-            )
-
-    def incr(self, name: str, value: float = 1) -> None:
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + value
-
-    def write(self, path, run_id: str | None):
-        if _obs is None:  # pragma: no cover - obs-less install
-            return None
-        recorder = _obs.TraceRecorder()
-        with self._lock:
-            recorder.absorb(list(self._spans), dict(self._counters))
-        return recorder.write(path, run_id=run_id)
-
-
 class ReproServer:
     """One live daemon: dataset, queue, breakers, workers, HTTP front."""
 
@@ -166,7 +117,10 @@ class ReproServer:
         self.breakers = BreakerBoard(
             self.config.breaker_threshold, self.config.breaker_cooldown_s
         )
-        self._trace = _ServeTrace() if self.config.trace else None
+        # Request spans are timed by the caller and recorded flat, from
+        # many handler threads at once.  The recorder is never installed
+        # process-wide, so forked workers never touch its lock.
+        self._trace = TraceRecorder() if self.config.trace else None
         self._lock = threading.Lock()
         # A lenient load that quarantined or degraded anything is not
         # content-addressable: its fingerprint names the *source*, not
@@ -217,7 +171,7 @@ class ReproServer:
 
     def _cache_event(self, name: str, value: int = 1) -> None:
         if self._trace is not None:
-            self._trace.incr(f"serve.cache.{name}", value)
+            self._trace.add(f"serve.cache.{name}", value)
 
     def start(self) -> tuple[str, int]:
         """Spawn workers + dispatchers, bind HTTP; returns (host, port)."""
@@ -341,7 +295,7 @@ class ReproServer:
             with FORK_LOCK:
                 self.journal.append_end("complete", uptime)
             if self._trace is not None:
-                self._trace.incr(
+                self._trace.add(
                     "serve.workers.replaced", self.workers_replaced()
                 )
                 self._trace.write(
@@ -712,7 +666,7 @@ class ReproServer:
             slot.rebind(dataset, epoch)
             self._journal_event("worker-rebound", epoch=epoch)
             if self._trace is not None:
-                self._trace.incr("serve.workers.rebound")
+                self._trace.add("serve.workers.rebound")
 
     def _settle_verdict(
         self,
@@ -878,14 +832,14 @@ class ReproServer:
                 attrs["priority"] = request.priority
                 if request.experiment:
                     attrs["experiment"] = request.experiment
+            # The span ends now; its start is re-read on the recorder's
+            # clock so the request's monotonic arrival never mixes in.
+            seconds = time.monotonic() - started_monotonic
             self._trace.record_span(
-                "serve.request",
-                started_monotonic,
-                time.monotonic() - started_monotonic,
-                **attrs,
+                "serve.request", time.perf_counter() - seconds, seconds, **attrs
             )
-            self._trace.incr("serve.requests.total")
-            self._trace.incr(f"serve.outcome.{response.outcome}")
+            self._trace.add("serve.requests.total")
+            self._trace.add(f"serve.outcome.{response.outcome}")
 
     # -- introspection -------------------------------------------------
 
@@ -997,7 +951,7 @@ class ReproServer:
             invalidated=invalidated,
         )
         if self._trace is not None:
-            self._trace.incr("serve.epochs.advanced")
+            self._trace.add("serve.epochs.advanced")
         return {
             "advanced": True,
             "epoch": epoch,

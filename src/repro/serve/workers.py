@@ -79,13 +79,9 @@ def _preload_worker_modules() -> None:
     pure ``sys.modules`` cache hits and never contend on import locks
     a handler thread may hold at fork time.
     """
+    import repro.experiments  # noqa: F401
+    import repro.experiments.journal  # noqa: F401
     import repro.faults.plan  # noqa: F401
-
-    try:
-        import repro.experiments  # noqa: F401
-        import repro.experiments.journal  # noqa: F401
-    except ImportError:  # pragma: no cover - minimal installs
-        pass
 
 
 @dataclass(frozen=True)

@@ -23,33 +23,11 @@ import numpy as np
 
 from repro.errors import ParseError
 from repro.ingest import ParseReport, with_retry
+from repro.obs.trace import add as trace_add
+from repro.obs.trace import span as trace_span
 from repro.util.atomic import atomic_open
 
 from .frame import Table
-
-try:  # tracing is optional: without repro.obs the parser runs untraced
-    from repro.obs.trace import add as trace_add
-    from repro.obs.trace import span as trace_span
-except ImportError:  # pragma: no cover - exercised by the obs-less drill
-
-    class _SpanOff:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            return False
-
-        def note(self, **attrs):
-            return None
-
-    _SPAN_OFF = _SpanOff()
-
-    def trace_span(name, **attrs):
-        return _SPAN_OFF
-
-    def trace_add(name, value=1):
-        return None
-
 
 __all__ = ["write_csv", "read_csv", "write_jsonl", "read_jsonl"]
 

@@ -106,6 +106,28 @@ class TestCliReportJournal:
         out = capsys.readouterr().out
         assert "fingerprint mismatch" in out
 
+    @pytest.mark.parametrize(
+        "ids, message",
+        [(["e01", "e01"], "listed twice: e01"), (["e01", "e99"], "unknown")],
+    )
+    def test_bad_experiment_ids_exit_2_before_any_work(
+        self, ids, message, tmp_path, capsys, monkeypatch
+    ):
+        import repro.cli
+
+        def no_load(args):
+            raise AssertionError("dataset loaded before ids were checked")
+
+        monkeypatch.setattr(repro.cli, "_load_or_synthesize", no_load)
+        with pytest.raises(SystemExit) as excinfo:
+            main_report(
+                ["--days", "4", "--seed", "8", "--experiments", *ids,
+                 "--run-dir", str(tmp_path / "runs"), "--run-id", "bad"]
+            )
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_duplicate_run_id_exits_1(self, tmp_path, capsys):
         argv = ["--days", "4", "--seed", "8", "--experiments", "e01",
                 "--run-dir", str(tmp_path / "runs"), "--run-id", "r1"]

@@ -1,6 +1,8 @@
 """Core tracing: nesting, metrics, serialization, absorb, no-op cost."""
 
 import json
+import sys
+import threading
 import time
 
 import pytest
@@ -67,6 +69,50 @@ class TestSpans:
             trace.set_gauge("cache.entries", 9)
         assert recorder.counters == {"csv.rows": 15}
         assert recorder.gauges == {"cache.entries": 9}
+
+
+class TestThreadedRecording:
+    """``record_span`` and counters from many threads lose nothing."""
+
+    def test_record_span_is_flat_and_on_the_recorder_clock(self):
+        recorder = trace.TraceRecorder()
+        started = time.perf_counter()
+        recorder.record_span("serve.request", started, 0.25, outcome="ok")
+        (record,) = recorder.spans
+        assert record["parent"] is None and record["depth"] == 0
+        assert record["seconds"] == 0.25
+        assert record["start"] == pytest.approx(
+            started - recorder._epoch, abs=1e-6
+        )
+        assert record["attrs"] == {"outcome": "ok"}
+        # A start before the recorder existed clamps to its epoch.
+        recorder.record_span("early", started - 60.0, 0.1)
+        assert recorder.spans[1]["start"] == 0.0
+
+    def test_concurrent_spans_and_counters_stay_consistent(self, tmp_path):
+        recorder = trace.TraceRecorder()
+        threads, per_thread = 16, 400
+
+        def work():
+            for _ in range(per_thread):
+                recorder.record_span("req", time.perf_counter(), 0.0)
+                recorder.add("requests")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        total = threads * per_thread
+        assert [s["id"] for s in recorder.spans] == list(range(total))
+        assert recorder.counters["requests"] == total
+        validate_file(recorder.write(tmp_path / "trace.jsonl"))
 
 
 class TestDisabled:

@@ -86,6 +86,19 @@ class TestReportTrace:
             main_report(["--trace", "--no-journal"])
         assert excinfo.value.code == 2
 
+    def test_no_trace_file_without_trace_flag(self, tmp_path, capsys):
+        rc = main_report(
+            [
+                "--days", "4", "--seed", "7", "--jobs", "1", "--no-cache",
+                "--experiments", "e01", "--run-id", "plain",
+                "--run-dir", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        assert (tmp_path / "plain" / "journal.jsonl").exists()
+        assert not (tmp_path / "plain" / "trace.jsonl").exists()
+        assert trace.active() is None
+
 
 class TestIngestSpans:
     def test_saved_dataset_load_traces_csv_and_cache(self, tmp_path, capsys):

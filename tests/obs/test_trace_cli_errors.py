@@ -106,3 +106,28 @@ class TestDiffStillDiffs:
         rc, out = run(capsys, "diff", good_trace, good_trace)
         assert rc == 0
         assert "work" in out
+
+
+class TestBoundsRejected:
+    """Bounds that would print a wrong table or a wrong verdict exit 2."""
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_summarize_top_below_one(self, good_trace, top, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main_trace(["summarize", good_trace, "--top", top])
+        assert excinfo.value.code == 2
+        assert "--top must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ratio", ["0.5", "0", "-1.5", "nan"])
+    def test_diff_fail_above_below_one(self, good_trace, ratio, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main_trace(["diff", good_trace, good_trace, "--fail-above", ratio])
+        assert excinfo.value.code == 2
+        assert "--fail-above" in capsys.readouterr().err
+
+    def test_boundary_values_are_accepted(self, good_trace, capsys):
+        assert main_trace(["summarize", good_trace, "--top", "1"]) == 0
+        assert (
+            main_trace(["diff", good_trace, good_trace, "--fail-above", "1"])
+            == 0
+        )
