@@ -228,6 +228,7 @@ def main_report(argv: list[str] | None = None) -> int:
     from repro.dataset.cache import fingerprint_for_run
     from repro.experiments.engine import (
         bench_record,
+        check_budgets,
         profile_lines,
         run_suite,
         write_bench_json,
@@ -287,8 +288,8 @@ def main_report(argv: list[str] | None = None) -> int:
         type=float,
         default=0.5,
         metavar="SECONDS",
-        help="base delay between re-dispatch rounds, doubled each round "
-        "(default: 0.5)",
+        help="delay before re-dispatching a lost experiment, doubled on "
+        "each further attempt (default: 0.5)",
     )
     parser.add_argument(
         "--run-dir",
@@ -350,6 +351,11 @@ def main_report(argv: list[str] | None = None) -> int:
         parser.error("--resume and --no-journal are mutually exclusive")
     if args.trace and args.no_journal:
         parser.error("--trace needs a run directory; drop --no-journal")
+    try:
+        check_budgets(jobs=args.jobs, timeout=args.timeout,
+                      retries=args.retries, backoff=args.backoff)
+    except ValueError as error:
+        parser.error(f"--{error}")
     if args.experiments:
         from repro.experiments import all_experiments
 

@@ -491,30 +491,6 @@ class MiraDataset:
             **{attr: tables[attr] for attr in _LOG_FILES},
         )
 
-    def pickle_probe(self) -> tuple:
-        """A cheap stand-in for probing picklability (O(columns), not O(rows)).
-
-        The experiment engine pickles the dataset once per worker and
-        needs to know *up front* whether that will work, without paying
-        for a full serialization.  Arena-backed tables already pickle as
-        tiny descriptors, so they go in whole; in-RAM tables are
-        represented by a small head slice, which still exercises every
-        column dtype.  The spec, incidents head, and ingestion report
-        ride along because those are the realistic failure sources.
-        """
-        tables = {
-            name: table if table._arena is not None else table.head(4)
-            for name, table in self._tables().items()
-        }
-        return (
-            self.spec,
-            self.n_days,
-            self.seed,
-            tables,
-            self.incidents[:4],
-            self.ingestion,
-        )
-
     def save(self, directory: str | Path) -> None:
         """Write the dataset as CSVs plus a JSONL metadata file."""
         directory = Path(directory)

@@ -1,8 +1,10 @@
 """Supervised parallel experiment engine.
 
-Runs a set of independent experiments against one dataset, optionally
-across a :class:`~concurrent.futures.ProcessPoolExecutor`, while
-preserving two invariants the report renderer depends on:
+Runs independent experiments against one dataset, in-process
+(``jobs=1``) or on supervised worker processes
+(:class:`repro.util.workers.WorkerSlot`, the slots ``repro-serve``
+also runs on), while preserving two invariants the report renderer
+depends on:
 
 - **Deterministic ordering** — outcomes come back in the exact order
   the experiment IDs were requested, regardless of which worker
@@ -11,31 +13,17 @@ preserving two invariants the report renderer depends on:
   outcome (``skipped`` for expected data-starvation errors, ``error``
   for everything else), never an aborted suite.
 
-On top of those, :func:`run_suite` supervises the pool the way a batch
-scheduler supervises jobs:
-
-- a per-experiment **timeout** is enforced inside the worker via
-  ``SIGALRM`` (an experiment that exceeds it becomes an ``error``
-  outcome), with a supervisor-side stall detector as backstop: when no
-  experiment completes for roughly twice the timeout, the wedged
-  workers are killed and their experiments re-dispatched;
-- a **worker death** (``BrokenProcessPool``) re-dispatches *only the
-  experiments without a recorded outcome* to a fresh pool, with
-  bounded retries and exponential backoff — completed work is never
-  discarded and never re-run.  Retries run isolated (one pool per
-  experiment) so a repeat offender cannot take healthy experiments
-  down with it, and a pool that breaks because the dataset cannot be
-  pickled across the process boundary falls back to the in-process
-  sequential path instead;
-- **graceful shutdown** — ``KeyboardInterrupt`` (SIGINT, or SIGTERM
-  mapped to it by the CLI) kills outstanding workers, keeps every
-  outcome already collected, and returns a partial
-  :class:`SuiteResult` with ``interrupted=True`` so the caller can
-  journal it and offer a resume;
-- **crash-safe journaling** — every freshly computed outcome is pushed
-  through the ``on_outcome`` callback the moment it is collected, and
-  ``completed`` outcomes replayed from a journal are returned verbatim
-  without re-running their experiments.
+:func:`run_suite` supervises its workers the way a batch scheduler
+supervises jobs.  The ``--timeout`` alarm fires inside the worker, and
+a worker still silent :data:`~repro.util.workers.SUPERVISOR_GRACE_S`
+later is killed.  A worker that dies or is killed loses only its own
+experiment, which is re-queued with exponential backoff until its
+retries run out and then recorded as an ``error`` outcome.
+``KeyboardInterrupt`` (SIGINT, or SIGTERM mapped to it by the CLI)
+kills the workers and returns the outcomes collected so far with
+``interrupted=True``.  Every fresh outcome reaches ``on_outcome`` the
+moment it arrives, so a journal loses at most the work in flight, and
+``completed`` outcomes replayed from a journal are never re-run.
 
 Every outcome carries wall-time, peak-RSS, and the attempt number that
 produced it, and :func:`write_bench_json` serializes a suite into the
@@ -46,13 +34,14 @@ benchmark harness and CI consume.
 from __future__ import annotations
 
 import json
+import math
 import os
+import queue
 import resource
 import sys
+import threading
 import time
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -62,6 +51,7 @@ from repro.errors import FaultError, ReproError
 from repro.obs import trace as _obs
 from repro.util.atomic import atomic_write_text
 from repro.util.deadline import DeadlineExceeded, deadline
+from repro.util.workers import FORK_LOCK, WorkerSlot
 
 from .base import ExperimentResult
 
@@ -69,6 +59,7 @@ __all__ = [
     "ExperimentOutcome",
     "SuiteResult",
     "run_suite",
+    "check_budgets",
     "profile_lines",
     "bench_record",
     "write_bench_json",
@@ -87,13 +78,12 @@ class ExperimentOutcome:
     ``max_rss_kb`` is a peak resident set from ``getrusage``,
     normalized to KiB on every platform (Linux reports KiB natively,
     macOS reports bytes).  ``rss_scope`` says what that peak covers:
-    ``"worker"`` — the pool worker process that ran this experiment —
-    or ``"process"`` — the whole supervisor, when the experiment ran
-    in-process (``jobs=1`` or the unpicklable-dataset fallback), where
-    the number is a shared monotonic high-water mark, *not* this
-    experiment's own footprint.  ``attempt`` is the dispatch number
-    that produced this outcome (``2`` means the first worker died and
-    the retry succeeded).  ``spans`` carries trace spans recorded in
+    ``"worker"`` — the worker process that ran this experiment — or
+    ``"process"`` — the whole supervisor, when the experiment ran
+    in-process (``jobs=1``), where the number is a shared monotonic
+    high-water mark, *not* this experiment's own footprint.
+    ``attempt`` is the dispatch number that produced this outcome
+    (``2`` means the first worker died and the retry succeeded).  ``spans`` carries trace spans recorded in
     the worker when the suite ran with tracing on; the supervisor
     merges them into the active recorder and they are never journaled.
     """
@@ -134,16 +124,6 @@ class SuiteResult:
             raise KeyError(f"no outcome for {experiment_id!r}") from None
 
 
-# Dataset shared with pool workers via the initializer, so it is pickled
-# once per worker instead of once per submitted experiment.
-_WORKER_DATASET = None
-
-
-def _init_worker(dataset) -> None:
-    global _WORKER_DATASET
-    _WORKER_DATASET = dataset
-
-
 def _peak_rss_kb() -> int:
     """Peak resident set of this process in KiB, on every platform.
 
@@ -159,37 +139,32 @@ def _peak_rss_kb() -> int:
 
 def _run_one(
     experiment_id: str,
-    dataset=None,
+    dataset,
     timeout: float | None = None,
     attempt: int = 1,
     trace: bool = False,
+    in_worker: bool = False,
 ) -> ExperimentOutcome:
     """Run one experiment with isolation, timing, and RSS accounting.
 
-    ``dataset=None`` means "running inside a pool worker" (the dataset
-    arrives via the initializer); that distinction also fixes the RSS
-    scope — a worker's ``ru_maxrss`` is (approximately) this
-    experiment's own peak, while in-process it is the whole
-    supervisor's shared high-water mark and is labelled as such.  With
-    ``trace=True`` in a worker, a process-local recorder captures the
-    experiment's spans and ships them back on the outcome; in-process,
-    spans flow straight into the supervisor's active recorder.
+    The one function a suite worker calls per experiment, and the
+    in-process ``jobs=1`` path.  ``in_worker`` fixes the RSS scope: a
+    worker's ``ru_maxrss`` is (approximately) this experiment's own
+    peak, while in-process it is the whole supervisor's shared
+    high-water mark and is labelled as such.  With ``trace=True`` in a
+    worker, a process-local recorder captures the experiment's spans
+    and ships them back on the outcome; in-process, spans flow straight
+    into the supervisor's active recorder.
     """
     from repro.experiments import run_experiment
     from repro.faults.plan import apply_process_faults
 
-    in_process = dataset is not None
-    if dataset is None:
-        dataset = _WORKER_DATASET
     recorder = None
-    if trace:
-        if not in_process:
-            # Always start fresh in a worker: under the fork start
-            # method the child inherits the supervisor's recorder, and
-            # spans added to that copy would be silently discarded.
-            recorder = _obs.install(_obs.TraceRecorder())
-        elif _obs.active() is None:
-            recorder = _obs.install(_obs.TraceRecorder())
+    if trace and (in_worker or _obs.active() is None):
+        # A worker always starts fresh: the forked child inherits the
+        # supervisor's recorder, and spans added to that copy would be
+        # silently discarded.
+        recorder = _obs.install(_obs.TraceRecorder())
     started = time.perf_counter()
     try:
         with deadline(timeout):
@@ -225,113 +200,35 @@ def _run_one(
         seconds=time.perf_counter() - started,
         max_rss_kb=_peak_rss_kb(),
         attempt=attempt,
-        rss_scope="process" if in_process else "worker",
+        rss_scope="worker" if in_worker else "process",
         spans=spans,
     )
 
 
-def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
-    """Forcibly end a pool's worker processes (stall/interrupt path)."""
-    for process in list(getattr(pool, "_processes", {}).values()):
-        try:
-            process.kill()
-        except OSError:
-            pass
+def _run_in_worker(job: tuple, dataset) -> ExperimentOutcome:
+    """A suite worker's job function: ``job`` is ``(id, attempt,
+    timeout, trace)``; ``_run_one`` is looked up at call time."""
+    experiment_id, attempt, timeout, trace = job
+    return _run_one(
+        experiment_id, dataset, timeout, attempt, trace, in_worker=True
+    )
 
 
-def _drain(futures, timeout: float | None, record) -> str:
-    """Collect outcomes as futures finish; returns how the round ended.
-
-    ``"ok"`` — every future resolved; ``"broken"`` — a worker died
-    (results collected up to that point are kept); ``"stalled"`` — no
-    future completed within the grace window (only possible with a
-    timeout set), meaning a worker is wedged beyond what the in-worker
-    alarm can interrupt.
-    """
-    grace = None if timeout is None else timeout * 2.0 + 1.0
-    not_done = set(futures)
-    broken = False
-    while not_done:
-        done, not_done = wait(not_done, timeout=grace, return_when=FIRST_COMPLETED)
-        if not done:
-            return "stalled"
-        for future in done:
-            try:
-                record(future.result())
-            except BrokenProcessPool:
-                broken = True
-        if broken:
-            return "broken"
-    return "ok"
+def _worker_lost(experiment_id: str, attempts: int) -> ExperimentOutcome:
+    return ExperimentOutcome(
+        experiment_id=experiment_id,
+        status="error",
+        result=None,
+        message=(
+            f"worker lost (process died or hung) after {attempts} attempt(s)"
+        ),
+        seconds=0.0,
+        max_rss_kb=0,
+        attempt=attempts,
+    )
 
 
-def _dispatch_round(
-    dataset,
-    ids: list[str],
-    jobs: int,
-    timeout: float | None,
-    attempts: Mapping[str, int],
-    record: Callable[[ExperimentOutcome], None],
-    trace: bool = False,
-) -> None:
-    """Submit ``ids`` to one fresh pool and drain it.
-
-    A broken or stalled pool ends the round early with its workers
-    killed; whatever completed first is already recorded.
-    """
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(ids)),
-            initializer=_init_worker,
-            initargs=(dataset,),
-        ) as pool:
-            futures = [
-                pool.submit(_run_one, eid, None, timeout, attempts[eid], trace)
-                for eid in ids
-            ]
-            try:
-                ended = _drain(futures, timeout, record)
-            except KeyboardInterrupt:
-                # Don't let pool.__exit__ wait on running workers;
-                # in-flight experiments are simply re-run on resume.
-                _kill_pool_workers(pool)
-                raise
-            if ended == "stalled":
-                _kill_pool_workers(pool)
-    except BrokenProcessPool:
-        pass
-
-
-class _NullWriter:
-    """A write-only sink: lets ``pickle.dump`` run without buffering the
-    stream, so probing picklability costs no memory."""
-
-    def write(self, data) -> int:
-        return len(data)
-
-
-def _can_pickle(obj) -> bool:
-    """Whether ``obj`` can cross the process boundary.
-
-    Objects exposing ``pickle_probe()`` (:class:`MiraDataset` does) are
-    probed through that cheap surrogate instead of being serialized
-    whole — the probe carries every pickling hazard (spec, reports,
-    column dtypes, table descriptors) at O(columns) cost, which matters
-    because this check runs on the failure path where the full dataset
-    may be gigabytes.  Either way the stream goes to a null sink, never
-    into a bytes object.
-    """
-    import pickle
-
-    probe = getattr(obj, "pickle_probe", None)
-    try:
-        pickle.dump(probe() if callable(probe) else obj, _NullWriter())
-    except Exception:  # noqa: BLE001 - any failure means "cannot cross"
-        return False
-    return True
-
-
-def _run_supervised(
+def _run_on_slots(
     dataset,
     pending: list[str],
     *,
@@ -340,84 +237,83 @@ def _run_supervised(
     retries: int,
     backoff: float,
     record: Callable[[ExperimentOutcome], None],
-    recorded: Callable[[str], bool],
     trace: bool = False,
 ) -> None:
-    """Dispatch ``pending`` across pools until done or retries exhaust.
+    """Run ``pending`` on ``jobs`` supervised worker slots.
 
-    Each round submits every still-unfinished experiment to a fresh
-    pool.  A broken or stalled round loses only the experiments without
-    a recorded outcome; those are re-dispatched (up to ``1 + retries``
-    total attempts each, sleeping ``backoff * 2**(round-1)`` between
-    rounds) while completed outcomes are kept.  Retry rounds run each
-    survivor in its *own* single-worker pool so a poison experiment
-    that keeps killing its process cannot take other experiments'
-    in-flight work down with it again.  An experiment whose every
-    attempt died is recorded as an ``error`` outcome, and a pool that
-    breaks because the dataset cannot cross the process boundary at
-    all (nothing ever completed *and* the dataset does not pickle)
-    falls back to the in-process sequential path.
+    Each slot's dispatcher thread takes ``(id, attempt)`` pairs from one
+    shared queue and runs them with the slot's stall kill at
+    ``timeout`` + grace.  A crashed or stalled worker loses only its own
+    experiment, which the dispatcher re-queues after
+    ``backoff * 2**(attempt-1)`` seconds, or gives up as an ``error``
+    outcome once ``1 + retries`` attempts have died.  Outcomes are
+    recorded on the calling thread, in completion order.
     """
-    attempts = dict.fromkeys(pending, 0)
-    ever_recorded = False
-    isolate = False
-    round_index = 0
-    while pending:
-        round_index += 1
-        for experiment_id in pending:
-            attempts[experiment_id] += 1
-        if isolate:
-            for experiment_id in pending:
-                _dispatch_round(
-                    dataset, [experiment_id], 1, timeout, attempts, record,
-                    trace,
-                )
-        else:
-            _dispatch_round(
-                dataset, pending, jobs, timeout, attempts, record, trace
+    todo: queue.Queue = queue.Queue()
+    finished: queue.Queue = queue.Queue()
+    stop = threading.Event()
+    for experiment_id in pending:
+        todo.put((experiment_id, 1))
+
+    def dispatch(slot: WorkerSlot) -> None:
+        try:
+            while True:
+                item = todo.get()
+                if item is None or stop.is_set():
+                    return
+                experiment_id, attempt = item
+                job = (experiment_id, attempt, timeout, trace)
+                verdict = slot.run(job, timeout)
+                if verdict.kind == "done":
+                    finished.put(verdict.payload)
+                elif attempt > retries:
+                    finished.put(_worker_lost(experiment_id, attempt))
+                elif not stop.wait(backoff * 2 ** (attempt - 1)):
+                    todo.put((experiment_id, attempt + 1))
+        except Exception as error:  # noqa: BLE001 - e.g. a failed respawn
+            finished.put(error)  # fail the suite instead of hanging it
+
+    slots: list[WorkerSlot] = []
+    threads: list[threading.Thread] = []
+    try:
+        for _ in range(jobs):
+            slots.append(WorkerSlot(_run_in_worker, dataset))
+            threads.append(
+                threading.Thread(target=dispatch, args=(slots[-1],), daemon=True)
             )
-        survivors = [eid for eid in pending if not recorded(eid)]
-        if not survivors:
-            return
-        # Survivors mean a worker died or stalled mid-round: from here
-        # on, never let one experiment's process share a pool with
-        # another's retry.
-        isolate = True
-        ever_recorded = ever_recorded or len(survivors) < len(pending)
-        if not ever_recorded and not _can_pickle(dataset):
-            # Nothing has ever come back from a worker and the dataset
-            # cannot cross the process boundary: the pool itself is
-            # unusable.  Run the remainder in-process.
-            for experiment_id in survivors:
-                record(
-                    _run_one(
-                        experiment_id, dataset, timeout,
-                        attempts[experiment_id], trace,
-                    )
-                )
-            return
-        still_pending = []
-        for experiment_id in survivors:
-            if attempts[experiment_id] >= 1 + retries:
-                record(
-                    ExperimentOutcome(
-                        experiment_id=experiment_id,
-                        status="error",
-                        result=None,
-                        message=(
-                            "worker lost (process died or hung) after "
-                            f"{attempts[experiment_id]} attempt(s)"
-                        ),
-                        seconds=0.0,
-                        max_rss_kb=0,
-                        attempt=attempts[experiment_id],
-                    )
-                )
-            else:
-                still_pending.append(experiment_id)
-        pending = still_pending
-        if pending:
-            time.sleep(backoff * 2 ** (round_index - 1))
+            threads[-1].start()
+        for _ in pending:
+            outcome = finished.get()
+            if isinstance(outcome, Exception):
+                raise outcome
+            # Replacement workers fork from the dispatcher threads; the
+            # lock keeps them from inheriting a journal append mid-write.
+            with FORK_LOCK:
+                record(outcome)
+    finally:
+        # On an interrupt, in-flight experiments are re-run on resume.
+        stop.set()
+        for slot in slots:
+            slot.kill()
+        for _ in threads:
+            todo.put(None)
+        for thread in threads:
+            thread.join(timeout=10.0)
+        for slot in slots:
+            slot.kill()  # a dispatcher may have replaced a killed worker
+
+
+def check_budgets(*, jobs, timeout, retries, backoff) -> None:
+    """Raise ``ValueError`` unless the supervision budgets are usable;
+    ``repro-report`` checks its flags with it before any work."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise ValueError(f"timeout must be > 0 seconds, got {timeout:g}")
+    if not 0 <= backoff < math.inf:
+        raise ValueError(f"backoff must be >= 0 seconds, got {backoff:g}")
 
 
 def run_suite(
@@ -438,7 +334,7 @@ def run_suite(
     everything in-process.  The worker count never exceeds the number
     of experiments.  ``timeout`` bounds each experiment's wall time
     (``None`` = unlimited); ``retries``/``backoff`` govern re-dispatch
-    after worker deaths (see :func:`_run_supervised`).  ``completed``
+    after worker deaths (see :func:`_run_on_slots`).  ``completed``
     supplies already-journaled outcomes to replay instead of re-running
     (the ``--resume`` path), and ``on_outcome`` is invoked once per
     *freshly computed* outcome, in completion order, so a journal can
@@ -450,7 +346,9 @@ def run_suite(
     Raises
     ------
     ValueError
-        On ``jobs < 1``, ``retries < 0``, or duplicate experiment IDs.
+        On ``jobs < 1``, ``retries < 0``, ``timeout <= 0``,
+        ``backoff < 0`` (see :func:`check_budgets`), or duplicate
+        experiment IDs.
     """
     from repro.experiments import all_experiments
 
@@ -464,10 +362,7 @@ def run_suite(
         raise ValueError(f"duplicate experiment id(s): {duplicates}")
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
+    check_budgets(jobs=jobs, timeout=timeout, retries=retries, backoff=backoff)
     jobs = min(jobs, max(len(ids), 1))
 
     done: dict[str, ExperimentOutcome] = {}
@@ -494,15 +389,14 @@ def run_suite(
             for experiment_id in pending:
                 record(_run_one(experiment_id, dataset, timeout, trace=trace))
         elif pending:
-            _run_supervised(
+            _run_on_slots(
                 dataset,
                 pending,
-                jobs=jobs,
+                jobs=min(jobs, len(pending)),
                 timeout=timeout,
                 retries=retries,
                 backoff=backoff,
                 record=record,
-                recorded=done.__contains__,
                 trace=trace,
             )
     except KeyboardInterrupt:
@@ -542,7 +436,7 @@ def profile_lines(
     """Per-experiment cProfile hotspots, top-``top`` by cumulative time.
 
     Runs each experiment in-process under ``cProfile`` (profiling and
-    worker pools don't mix) and returns a readable block per experiment
+    worker processes don't mix) and returns a readable block per experiment
     — the starting point for the next round of kernel optimization.
     Expected data-starvation errors are reported, not raised, mirroring
     :func:`run_suite`'s isolation.

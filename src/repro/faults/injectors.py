@@ -264,14 +264,14 @@ def drop_tasks(
 # far slower than budgeted.  They are armed per experiment through a
 # :class:`~repro.faults.plan.ProcessFaultPlan` (usually via the
 # ``REPRO_PROCESS_FAULTS`` environment variable, which crosses into
-# pool workers), and are fully deterministic: the same plan kills the
+# forked workers), and are fully deterministic: the same plan kills the
 # same experiment on the same attempt every run.
 
 
 def kill_worker_action() -> None:
-    """Die instantly (SIGKILL self), like an OOM-killed pool worker.
+    """Die instantly (SIGKILL self), like an OOM-killed worker.
 
-    No Python cleanup runs — the supervising engine sees a broken pool
+    No Python cleanup runs — the supervising slot sees pipe EOF
     exactly as it would for a real worker death.
     """
     os.kill(os.getpid(), signal.SIGKILL)
@@ -281,7 +281,7 @@ def hang_action(seconds: float) -> None:
     """Wedge for ``seconds`` with ``SIGALRM`` blocked.
 
     Blocking the alarm makes the hang immune to the engine's in-worker
-    timeout, so it exercises the supervisor-side stall detector (the
+    timeout, so it exercises the supervisor-side stall kill (the
     path a worker stuck in uninterruptible C code would take).
     """
     if hasattr(signal, "pthread_sigmask") and hasattr(signal, "SIGALRM"):

@@ -12,9 +12,10 @@ resilience as the design axis:
   immediate typed rejection with a retry-after hint;
 - :mod:`repro.serve.breaker` — per-experiment circuit breakers
   (consecutive failures trip them, half-open probes close them);
-- :mod:`repro.serve.workers` — supervised worker processes with
-  per-request deadlines (:mod:`repro.util.deadline`), crash isolation,
-  and automatic replacement;
+- :mod:`repro.serve.workers` — the jobs a query worker runs, with
+  per-request deadlines (:mod:`repro.util.deadline`), on the supervised
+  worker slots of :mod:`repro.util.workers` (crash isolation and
+  automatic replacement);
 - :mod:`repro.serve.resultcache` — the content-addressed result cache
   (memory LRU + optional disk tier) that turns repeated deterministic
   queries into lookups;

@@ -45,12 +45,18 @@ from repro.errors import FaultError
 from repro.faults.plan import ProcessFaultPlan
 from repro.obs.trace import TraceRecorder
 from repro.util.deadline import Deadline
+from repro.util.workers import (
+    FORK_LOCK,
+    SUPERVISOR_GRACE_S,
+    WorkerSlot,
+    WorkerVerdict,
+)
 
 from .admission import AdmissionQueue, Ticket
 from .breaker import BreakerBoard
 from .protocol import ProtocolError, ServeRequest, ServeResponse
 from .resultcache import CACHEABLE_OUTCOMES, ResultCache, result_key
-from .workers import FORK_LOCK, SUPERVISOR_GRACE_S, WorkerSlot, WorkerVerdict
+from .workers import run_request
 
 __all__ = ["ReproServer", "ServeConfig"]
 
@@ -188,7 +194,7 @@ class ReproServer:
                     fingerprint=self.fingerprint,
                 )
         for _ in range(self.config.workers):
-            self._slots.append(WorkerSlot(self.dataset))
+            self._slots.append(WorkerSlot(run_request, self.dataset))
         for index, slot in enumerate(self._slots):
             thread = threading.Thread(
                 target=self._dispatch_loop,

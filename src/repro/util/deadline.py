@@ -12,8 +12,8 @@ Two tools, one contract:
   not abandoned.  It degrades to a no-op when no budget is given, on
   platforms without ``SIGALRM``, or off the main thread (signals can
   only be armed there) — callers needing a hard guarantee pair it with
-  a supervisor-side kill, as both the engine's stall detector and the
-  server's worker supervision do.
+  a supervisor-side kill, as the worker slots both the engine and the
+  server run on do (:mod:`repro.util.workers`).
 - :class:`Deadline` — a monotonic-clock expiry value for *propagating*
   a budget across queues and process boundaries: make one when a
   request is admitted, ask :meth:`Deadline.remaining` when it is

@@ -117,10 +117,10 @@ class TestDescriptorHandOff:
     def test_serve_worker_equivalence(self):
         """A forked serve worker attaches the arena and answers
         identically to the parent's in-RAM dataset."""
-        from repro.serve.workers import WorkerSlot
+        from repro.serve.workers import WorkerSlot, run_request
 
         ram, mmap = _pair()
-        slot = WorkerSlot(mmap)
+        slot = WorkerSlot(run_request, mmap)
         try:
             verdict = slot.run(
                 {"mode": "summary", "deadline_s": 60.0, "request_id": "t"},

@@ -75,6 +75,16 @@ class TestOrderingAndIsolation:
         with pytest.raises(ValueError, match="jobs must be"):
             run_suite(dataset, ["e01"], jobs=0)
 
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
+    def test_timeout_validation(self, dataset, timeout):
+        with pytest.raises(ValueError, match="timeout must be"):
+            run_suite(dataset, ["e01"], jobs=2, timeout=timeout)
+
+    @pytest.mark.parametrize("backoff", [-1.0, float("inf")])
+    def test_backoff_validation(self, dataset, backoff):
+        with pytest.raises(ValueError, match="backoff must be"):
+            run_suite(dataset, ["e01"], jobs=2, backoff=backoff)
+
     def test_duplicate_ids_rejected(self, dataset):
         with pytest.raises(ValueError, match="duplicate experiment id"):
             run_suite(dataset, ["e01", "e02", "e01"], jobs=1)
@@ -158,6 +168,19 @@ class TestSupervision:
         assert "worker lost" in outcome.message
         assert suite.outcome("e02").status == "ok"
 
+    def test_failed_respawn_fails_the_suite_instead_of_hanging(
+        self, dataset, monkeypatch
+    ):
+        from repro.util.workers import WorkerSlot
+
+        def fork_fails(slot):
+            raise OSError("fork failed")
+
+        monkeypatch.setattr(WorkerSlot, "_replace", fork_fails)
+        with process_faults("kill_worker:e03"):
+            with pytest.raises(OSError, match="fork failed"):
+                run_suite(dataset, ["e01", "e03"], jobs=2, backoff=0.01)
+
     def test_completed_outcomes_replay_without_rerun(self, dataset):
         first = run_suite(dataset, ["e01", "e02"], jobs=1)
         fresh = []
@@ -236,39 +259,3 @@ class TestTimingsAndBench:
         assert loaded["stages"]["load_cold_s"] == 1.5
         assert [e["id"] for e in loaded["experiments"]] == ["e01", "e02"]
         assert all(e["status"] == "ok" for e in loaded["experiments"])
-
-
-class TestPickleProbe:
-    """_can_pickle must be O(1): it probes ``pickle_probe()`` when the
-    object offers one instead of serializing the full dataset."""
-
-    def test_dataset_probe_is_tiny(self, dataset):
-        import pickle
-
-        probe = dataset.pickle_probe()
-        assert len(pickle.dumps(probe)) < 64 * 1024
-        assert len(pickle.dumps(probe)) < len(pickle.dumps(dataset)) / 4
-
-    def test_can_pickle_accepts_dataset(self, dataset):
-        from repro.experiments.engine import _can_pickle
-
-        assert _can_pickle(dataset)
-        assert _can_pickle({"plain": [1, 2, 3]})
-
-    def test_can_pickle_rejects_unpicklable(self):
-        from repro.experiments.engine import _can_pickle
-
-        assert not _can_pickle(lambda: None)
-
-        class Liar:
-            def pickle_probe(self):
-                return lambda: None  # probe itself unpicklable
-
-        assert not _can_pickle(Liar())
-
-    def test_null_writer_consumes_without_buffering(self):
-        from repro.experiments.engine import _NullWriter
-
-        writer = _NullWriter()
-        assert writer.write(b"xyz") == 3
-        assert not hasattr(writer, "getvalue")

@@ -1,9 +1,10 @@
 """End-to-end crash drill: SIGKILL a journaled run, resume, compare bytes.
 
-The PR's acceptance scenario: a parallel ``repro-report`` run killed
-mid-suite must resume from its journal without re-running finished
-experiments, and the resumed report must be byte-identical to an
-uninterrupted run over the same dataset.
+A parallel ``repro-report`` run killed mid-suite must resume from its
+journal without re-running finished experiments, and the resumed report
+must be byte-identical to an uninterrupted run over the same dataset.
+Neither a SIGKILLed nor a SIGTERMed supervisor may leave idle workers
+behind.
 """
 
 import json
@@ -27,6 +28,28 @@ import sys
 from repro.cli import main_report
 sys.exit(main_report({argv!r}))
 """
+
+
+def _workers_of(run_id: str) -> list[int]:
+    """Live pids whose command line names ``run_id``: the supervisor and
+    its forked workers, which keep its argv (zombies have none)."""
+    marker = f"'--run-id', '{run_id}'".encode()
+    pids = []
+    for entry in Path("/proc").iterdir():
+        try:
+            if entry.name.isdigit() and marker in (entry / "cmdline").read_bytes():
+                pids.append(int(entry.name))
+        except OSError:
+            continue
+    return pids
+
+
+def _kill_all(pids: list[int]) -> None:
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 def _count_outcomes(journal_path: Path) -> int:
@@ -86,6 +109,16 @@ class TestKillResume:
         journaled_before = _count_outcomes(journal_path)
         assert journaled_before == len(IDS) - 1
 
+        # Orphaned by the SIGKILL, the idle worker exits on its own; only
+        # the one sleeping in the slowed e05 may still be alive.
+        deadline = time.monotonic() + 5.0
+        try:
+            while len(_workers_of("drill")) > 1 and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert len(_workers_of("drill")) <= 1
+        finally:
+            _kill_all(_workers_of("drill"))
+
         # 3. resume (faults disarmed): only the lost experiment reruns
         assert main_report(["--resume", "drill"]) == 0
         capsys.readouterr()
@@ -93,6 +126,44 @@ class TestKillResume:
 
         drill_report = (runs_root / "drill" / "report.txt").read_bytes()
         assert drill_report == clean_report
+
+    def test_sigterm_interrupts_parallel_suite_and_resumes(self, runs_root, capsys):
+        argv = ["--days", DAYS, "--seed", SEED, "--jobs", "2", "--experiments"]
+        env = dict(os.environ)
+        env[PROCESS_FAULT_ENV] = "slow:e05:30"
+        child = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                _CHILD.format(argv=argv + IDS + ["--run-id", "sigterm"]),
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        journal_path = runs_root / "sigterm" / "journal.jsonl"
+        deadline = time.monotonic() + 120.0
+        try:
+            while _count_outcomes(journal_path) < len(IDS) - 1:
+                assert child.poll() is None, "run exited before the SIGTERM"
+                assert time.monotonic() < deadline, "run never journaled outcomes"
+                time.sleep(0.1)
+            child.send_signal(signal.SIGTERM)
+            assert child.wait(timeout=10.0) == 130
+            assert _workers_of("sigterm") == []
+        finally:
+            child.kill()
+            child.wait()
+            _kill_all(_workers_of("sigterm"))
+
+        records = [json.loads(line) for line in journal_path.read_text().splitlines()]
+        assert _count_outcomes(journal_path) == len(IDS) - 1
+        assert records[-1]["kind"] == "end"
+        assert records[-1]["status"] == "interrupted"
+
+        assert main_report(["--resume", "sigterm"]) == 0
+        capsys.readouterr()
+        assert _count_outcomes(journal_path) == len(IDS)
 
     def test_resume_of_complete_run_recomputes_nothing(self, runs_root, capsys):
         argv = [

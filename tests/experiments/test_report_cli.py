@@ -108,7 +108,15 @@ class TestCliReportJournal:
 
     @pytest.mark.parametrize(
         "ids, message",
-        [(["e01", "e01"], "listed twice: e01"), (["e01", "e99"], "unknown")],
+        [
+            (["e01", "e01"], "listed twice: e01"),
+            (["e01", "e99"], "unknown"),
+            (["e01", "--jobs", "0"], "--jobs must be >= 1"),
+            (["e01", "--retries", "-1"], "--retries must be >= 0"),
+            (["e01", "--timeout", "0"], "--timeout must be > 0"),
+            (["e01", "--timeout", "-1"], "--timeout must be > 0"),
+            (["e01", "--backoff", "-1"], "--backoff must be >= 0"),
+        ],
     )
     def test_bad_experiment_ids_exit_2_before_any_work(
         self, ids, message, tmp_path, capsys, monkeypatch
@@ -116,7 +124,7 @@ class TestCliReportJournal:
         import repro.cli
 
         def no_load(args):
-            raise AssertionError("dataset loaded before ids were checked")
+            raise AssertionError("dataset loaded before flags were checked")
 
         monkeypatch.setattr(repro.cli, "_load_or_synthesize", no_load)
         with pytest.raises(SystemExit) as excinfo:

@@ -9,7 +9,7 @@ from repro.dataset.mira import MiraDataset
 from repro.serve.replay import epoch_summary
 from repro.serve.resultcache import ResultCache, result_key
 from repro.serve.server import ReproServer, ServeConfig
-from repro.serve.workers import WorkerSlot
+from repro.serve.workers import WorkerSlot, run_request
 
 
 def query(srv, **payload):
@@ -60,7 +60,7 @@ class TestWorkerRebind:
     def test_rebind_swaps_dataset_and_counts(self):
         a = MiraDataset.synthesize(1.0, seed=1, cache=False)
         b = MiraDataset.synthesize(1.0, seed=2, cache=False)
-        slot = WorkerSlot(a)
+        slot = WorkerSlot(run_request, a)
         assert slot.epoch == 0
         slot.rebind(b, 3)
         assert slot._dataset is b

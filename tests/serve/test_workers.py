@@ -3,7 +3,7 @@
 import threading
 import time
 
-from repro.serve.workers import FORK_LOCK, WorkerSlot
+from repro.serve.workers import FORK_LOCK, WorkerSlot, run_request
 
 
 class TestKillDuringRun:
@@ -12,7 +12,7 @@ class TestKillDuringRun:
         # inside run() used to raise AttributeError past the
         # (EOFError, OSError) handlers, killing the dispatcher thread
         # and leaving its ticket to the slow HTTP-side backstop.
-        slot = WorkerSlot(None)
+        slot = WorkerSlot(run_request, None)
         verdicts, errors = [], []
 
         def dispatch():
@@ -43,7 +43,7 @@ class TestKillDuringRun:
             slot.close()
 
     def test_run_on_a_killed_slot_reports_crashed(self):
-        slot = WorkerSlot(None)
+        slot = WorkerSlot(run_request, None)
         slot.kill()
         try:
             verdict = slot.run({"mode": "ping", "deadline_s": 2.0}, 2.0)
@@ -60,7 +60,7 @@ class TestForkHygiene:
         with FORK_LOCK:
             spawned = []
             thread = threading.Thread(
-                target=lambda: spawned.append(WorkerSlot(None)),
+                target=lambda: spawned.append(WorkerSlot(run_request, None)),
                 daemon=True,
             )
             thread.start()
